@@ -45,7 +45,13 @@ from repro.smtlite.formula import (
 )
 from repro.smtlite.solver import Model, SolverResult, SolverStatus
 from repro.smtlite.terms import IntVar, LinearExpr
-from repro.smtlite.theory import TheoryConstraint, TheoryError, default_theory_solver
+from repro.smtlite.theory import (
+    CORE_PROBE_STATISTICS,
+    TheoryConstraint,
+    TheoryError,
+    add_core_probe_statistics,
+    default_theory_solver,
+)
 
 
 class CaseBudgetExceeded(RuntimeError):
@@ -121,6 +127,7 @@ class DirectILPSolver:
             # the live-core count observed at each pop.
             "cores_learned": 0,
             "cores_retained_across_pops": 0,
+            **dict.fromkeys(CORE_PROBE_STATISTICS, 0),
         }
 
     # ------------------------------------------------------------------
@@ -343,6 +350,7 @@ class DirectILPSolver:
 
         self.statistics["theory_checks"] += 1
         result = self._theory.check(constraints, bounds)
+        add_core_probe_statistics(self.statistics, result)
         value = (result.satisfiable, dict(result.model) if result.model else None)
         if len(self._memo) >= self._max_memo:
             self._memo.pop(next(iter(self._memo)))

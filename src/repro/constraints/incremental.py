@@ -45,7 +45,7 @@ from repro.constraints.ir import ConstraintSystem
 from repro.constraints.simplify import SimplifyStats, _single_variable_bound, fold_constants
 from repro.constraints.simplify_cache import simplify_system_cached
 from repro.obs.metrics import REGISTRY
-from repro.smtlite.formula import And, Atom, BoolConst, Formula
+from repro.smtlite.formula import FALSE, And, Atom, BoolConst, Formula
 
 #: The escape hatch: ``REPRO_INCREMENTAL=0`` restores rebuild-per-scope.
 INCREMENTAL_ENV = "REPRO_INCREMENTAL"
@@ -327,6 +327,25 @@ class ScopedSimplifier:
             savings.delta_in += len(queue)
         bump("delta_constraints_simplified", len(queue))
         for formula in queue:
+            if self.tighten_bounds and isinstance(formula, Atom):
+                decoded = _single_variable_bound(formula)
+                if decoded is not None:
+                    name, value, is_upper = decoded
+                    lower, upper = self.system.tighten(
+                        name,
+                        lower=None if is_upper else value,
+                        upper=value if is_upper else None,
+                    )
+                    self.stats.bounds_tightened += 1
+                    if savings is not None:
+                        savings.tightened += 1
+                    if lower is None or upper is None or lower <= upper:
+                        continue
+                    # An emptied domain makes the scope unsatisfiable, but a
+                    # solver never looks at the bounds of a variable no
+                    # constraint mentions: carry it as FALSE (popped with
+                    # the tightening).
+                    formula = FALSE
             if isinstance(formula, BoolConst):
                 if formula.value:
                     self.stats.folded += 1
@@ -339,19 +358,6 @@ class ScopedSimplifier:
                 self.stats.constraints_after += 1
                 admitted.append(formula)
                 continue
-            if self.tighten_bounds and isinstance(formula, Atom):
-                decoded = _single_variable_bound(formula)
-                if decoded is not None:
-                    name, value, is_upper = decoded
-                    self.system.tighten(
-                        name,
-                        lower=None if is_upper else value,
-                        upper=value if is_upper else None,
-                    )
-                    self.stats.bounds_tightened += 1
-                    if savings is not None:
-                        savings.tightened += 1
-                    continue
             verdict = self.index.admit(formula)
             if verdict == "fresh":
                 self.system.add(formula)

@@ -12,16 +12,22 @@ the backend keeps a grow-only variable→column index and caches the sparse
 row of every constraint it has ever seen; each call assembles its matrix by
 stacking cached rows instead of rebuilding the MILP from scratch.  Columns
 belonging to variables of earlier calls are harmless: their coefficients are
-zero and their bounds default to the natural numbers.
+zero and their bounds default to the natural numbers.  Shrinking one
+conflict takes dozens of subset MILPs (candidate re-verification, ddmin
+halving, deletion), so each core extraction loads the conflict's arrays once
+into a persistent HiGHS model (:class:`_ProbeModel`) and every probe only
+relaxes or restores the bounds of the rows whose membership changed.
 
 Soundness: HiGHS works in floating point, so
 
 * every model is rounded to integers and re-verified exactly
   (:func:`repro.smtlite.theory.verify_model`); if verification fails the
   query is re-run on the exact backend;
-* every conflict core is re-verified by a dedicated infeasibility check
-  before being returned; if the check fails the full constraint set is
-  returned as the (always valid) core.
+* a conflict core only ever shrinks through subset probes that HiGHS
+  reports as proven infeasible (``kInfeasible``); a probe stopped by its
+  time limit, or ending in any other status, keeps the larger core, and
+  without a verified candidate the full constraint set is returned as the
+  (always valid) core.
 """
 
 from __future__ import annotations
@@ -31,8 +37,11 @@ from collections.abc import Sequence
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.optimize._highspy import _core as highs
 
+from repro.obs.metrics import REGISTRY
 from repro.smtlite.theory import (
+    CORE_PROBE_STATISTICS,
     Bounds,
     ExactTheorySolver,
     TheoryConstraint,
@@ -43,6 +52,11 @@ from repro.smtlite.theory import (
 
 _MARGINAL_TOLERANCE = 1e-7
 _FEASIBILITY_TOLERANCE = 1e-6
+
+_CORE_PROBES = REGISTRY.counter(
+    "repro_core_probes_total",
+    "Conflict-core subset probes of the scipy theory (probes, proven, timeouts)",
+)
 
 
 class ScipyTheorySolver(TheorySolverBase):
@@ -73,22 +87,12 @@ class ScipyTheorySolver(TheorySolverBase):
             "exact_fallbacks": 0,
             "row_cache_hits": 0,
             "row_cache_misses": 0,
+            **dict.fromkeys(CORE_PROBE_STATISTICS, 0),
         }
+        # The probe model of the conflict being shrunk (set by _extract_core).
+        self._probe: _ProbeModel | None = None
 
     # ------------------------------------------------------------------
-
-    def is_satisfiable(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> bool:
-        """Single MILP feasibility call (no model verification, no core work)."""
-        constraints = list(constraints)
-        if not constraints:
-            return True
-        if not any(constraint.coefficients for constraint in constraints):
-            return all(constraint.constant <= 0 for constraint in constraints)
-        self._register_variables(bounds)
-        matrix, rhs = self._constraint_matrix(constraints)
-        lower, upper = self._bound_arrays(bounds)
-        feasible, _ = self._solve_milp(matrix, rhs, lower, upper)
-        return feasible
 
     def check(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> TheoryResult:
         constraints = list(constraints)
@@ -117,8 +121,12 @@ class ScipyTheorySolver(TheorySolverBase):
             self.statistics["exact_fallbacks"] += 1
             return self._exact_fallback.check(constraints, bounds)
 
+        probes = [self.statistics[key] for key in CORE_PROBE_STATISTICS]
         core = self._extract_core(constraints, bounds, matrix, rhs, lower, upper)
-        return TheoryResult(False, core=core)
+        spent = {
+            key: self.statistics[key] - before for key, before in zip(CORE_PROBE_STATISTICS, probes)
+        }
+        return TheoryResult(False, core=core, statistics=spent)
 
     # ------------------------------------------------------------------
     # MILP / LP building blocks
@@ -219,21 +227,27 @@ class ScipyTheorySolver(TheorySolverBase):
     ) -> list[int]:
         all_indices = list(range(len(constraints)))
         candidate = self._elastic_lp_core(matrix, rhs, lower, upper)
-        core = None
-        if candidate and len(candidate) < len(constraints):
-            # Re-verify the candidate with a dedicated MILP call on the subset.
-            if self._subset_proven_infeasible(constraints, bounds, candidate):
-                core = candidate
-        if core is None:
-            # No LP certificate (typically integrality-driven infeasibility).
-            core = all_indices
-        if self.minimize_cores and len(core) > 4:
-            # Large cores make weak blocking clauses and the DPLL(T) loop
-            # degenerates into near-enumeration of boolean assignments, so
-            # spend a bounded number of subset MILP calls shrinking them.
-            core = self._dichotomic_shrink(constraints, bounds, core)
-        if self.minimize_cores and 4 < len(core) <= self.core_minimization_budget:
-            core = self.minimize_core(constraints, bounds, core, max_checks=self.core_minimization_budget)
+        self._probe = _ProbeModel(matrix, rhs, lower, upper)
+        try:
+            core = None
+            if candidate and len(candidate) < len(constraints):
+                # Re-verify the candidate with a dedicated MILP probe on the subset.
+                if self._subset_proven_infeasible(constraints, bounds, candidate):
+                    core = candidate
+            if core is None:
+                # No LP certificate (typically integrality-driven infeasibility).
+                core = all_indices
+            if self.minimize_cores and len(core) > 4:
+                # Large cores make weak blocking clauses and the DPLL(T) loop
+                # degenerates into near-enumeration of boolean assignments, so
+                # spend a bounded number of subset probes shrinking them.
+                core = self._dichotomic_shrink(constraints, bounds, core)
+            if self.minimize_cores and 4 < len(core) <= self.core_minimization_budget:
+                core = self.minimize_core(
+                    constraints, bounds, core, max_checks=self.core_minimization_budget
+                )
+        finally:
+            self._probe = None
         return core
 
     def _subset_proven_infeasible(
@@ -245,25 +259,24 @@ class ScipyTheorySolver(TheorySolverBase):
     ) -> bool:
         """True only when HiGHS *proves* the subset infeasible.
 
-        Removing constraints can make the branch-and-bound much harder than
-        the full system, so subset probes carry a time limit; an undecided
-        probe counts as "not proven", which is always sound (the caller just
-        keeps a larger core).
+        Every probe of one extraction runs on that extraction's
+        :class:`_ProbeModel`, which already holds ``constraints`` under
+        ``bounds``.  Removing constraints can make the branch-and-bound much
+        harder than the full system, so shrink probes carry a time limit; an
+        undecided probe counts as "not proven", which is always sound (the
+        caller just keeps a larger core).
         """
-        subset = [constraints[index] for index in indices]
-        sub_matrix, sub_rhs = self._constraint_matrix(subset)
-        sub_lower, sub_upper = self._bound_arrays(bounds)
-        self.statistics["milp_calls"] += 1
-        constraint = optimize.LinearConstraint(sub_matrix, -np.inf, sub_rhs)
-        num_variables = sub_matrix.shape[1]
-        result = optimize.milp(
-            c=np.zeros(num_variables),
-            constraints=[constraint],
-            integrality=np.ones(num_variables),
-            bounds=optimize.Bounds(sub_lower, sub_upper),
-            options=None if time_limit is None else {"time_limit": time_limit},
-        )
-        return result.status == 2  # 2 = proven infeasible
+        status = self._probe.solve(indices, time_limit)
+        if status == highs.HighsModelStatus.kInfeasible:
+            events = ("core_probes", "core_probes_proven")
+        elif status == highs.HighsModelStatus.kTimeLimit:
+            events = ("core_probes", "core_probe_timeouts")
+        else:
+            events = ("core_probes",)
+        for event in events:
+            self.statistics[event] += 1
+            _CORE_PROBES.inc(event=event)
+        return status == highs.HighsModelStatus.kInfeasible
 
     def _dichotomic_shrink(
         self, constraints: Sequence[TheoryConstraint], bounds: Bounds, core: list[int]
@@ -336,3 +349,54 @@ class ScipyTheorySolver(TheorySolverBase):
         if marginals is None:
             return None
         return [index for index, value in enumerate(marginals) if abs(value) > _MARGINAL_TOLERANCE]
+
+
+class _ProbeModel:
+    """One conflict as a persistent HiGHS model that probes row subsets.
+
+    Built once per core extraction from the arrays ``check()`` assembled.  A
+    probe changes only the rows whose membership changed: a row entering
+    the subset gets its bound ``(-inf, rhs]`` back, a row leaving it becomes
+    free ``(-inf, +inf)`` (presolve drops free rows), so each probe decides
+    the same MILP that a model of the subset's rows alone would.
+    """
+
+    def __init__(
+        self, matrix: sparse.csr_matrix, rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray
+    ):
+        num_rows, num_columns = matrix.shape
+        columns = matrix.tocsc()
+        self._highs = highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.passModel(
+            num_columns,
+            num_rows,
+            columns.nnz,
+            int(highs.MatrixFormat.kColwise),
+            int(highs.ObjSense.kMinimize),
+            0.0,
+            np.zeros(num_columns),
+            lower,
+            upper,
+            np.full(num_rows, -np.inf),
+            rhs,
+            columns.indptr.astype(np.int32),
+            columns.indices.astype(np.int32),
+            columns.data.astype(np.float64),
+            np.full(num_columns, int(highs.HighsVarType.kInteger), dtype=np.int32),
+        )
+        self._rhs = rhs
+        self._active = set(range(num_rows))
+
+    def solve(self, indices: Sequence[int], time_limit: float | None) -> "highs.HighsModelStatus":
+        """HiGHS's status for the subset ``indices`` under ``time_limit``."""
+        model = self._highs
+        subset = set(indices)
+        for row in self._active - subset:
+            model.changeRowBounds(row, -np.inf, np.inf)
+        for row in subset - self._active:
+            model.changeRowBounds(row, -np.inf, self._rhs[row])
+        self._active = subset
+        model.setOptionValue("time_limit", np.inf if time_limit is None else float(time_limit))
+        model.run()
+        return model.getModelStatus()

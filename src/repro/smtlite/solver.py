@@ -47,10 +47,12 @@ from repro.smtlite.formula import And, Atom, BoolConst, BoolVar, Formula, Not
 from repro.smtlite.sat import SatSolver
 from repro.smtlite.terms import IntVar, LinearExpr
 from repro.smtlite.theory import (
+    CORE_PROBE_STATISTICS,
     TheoryConstraint,
     TheoryError,
     TheoryResult,
     TheorySolverBase,
+    add_core_probe_statistics,
     default_theory_solver,
 )
 
@@ -163,6 +165,7 @@ class Solver:
             "cores_learned": 0,
             "cores_retained_across_pops": 0,
         }
+        self.statistics.update(dict.fromkeys(CORE_PROBE_STATISTICS, 0))
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -441,6 +444,7 @@ class Solver:
 
         self.statistics["theory_cache_misses"] += 1
         result = self._theory.check(constraints, bounds)
+        add_core_probe_statistics(self.statistics, result)
         if len(self._theory_cache) >= self._max_theory_cache:
             self._theory_cache.pop(next(iter(self._theory_cache)))
         if result.satisfiable:

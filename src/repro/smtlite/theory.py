@@ -55,6 +55,11 @@ class TheoryConstraint:
 
 Bounds = Mapping[str, tuple[int | None, int | None]]
 
+#: The subset probes a backend spent shrinking a conflict core, proven
+#: infeasible and stopped at their time limit; reported per check in
+#: :attr:`TheoryResult.statistics`.
+CORE_PROBE_STATISTICS = ("core_probes", "core_probes_proven", "core_probe_timeouts")
+
 
 @dataclass
 class TheoryResult:
@@ -66,6 +71,12 @@ class TheoryResult:
     #: subset; always a valid core (possibly the full set) when unsat.
     core: list[int] | None = None
     statistics: dict[str, int] = field(default_factory=dict)
+
+
+def add_core_probe_statistics(totals: dict[str, int], result: TheoryResult) -> None:
+    """Add one check's core-probe counts to a solver's running ``statistics``."""
+    for key in CORE_PROBE_STATISTICS:
+        totals[key] += result.statistics.get(key, 0)
 
 
 class TheoryError(RuntimeError):
@@ -98,14 +109,16 @@ class TheorySolverBase:
     def check(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> TheoryResult:
         raise NotImplementedError
 
-    def is_satisfiable(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> bool:
-        """Plain feasibility test (no model, no conflict core).
+    def _subset_proven_infeasible(
+        self, constraints: Sequence[TheoryConstraint], bounds: Bounds, indices: Sequence[int]
+    ) -> bool:
+        """The subset test of core minimisation: is ``indices`` proven unsat?
 
-        Used by core minimisation, where extracting (and recursively
-        minimising) cores of every trial subset would multiply the work.
-        Backends override this with their cheapest feasibility check.
+        Extracting (and recursively minimising) cores of every trial subset
+        would multiply the work, so a backend that minimises cores
+        implements this with its cheapest feasibility test.
         """
-        return self.check(constraints, bounds).satisfiable
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -133,8 +146,8 @@ class TheorySolverBase:
 
         Starting from ``candidate`` (indices of an unsatisfiable subset), try
         to drop constraints one at a time while the remainder stays
-        unsatisfiable.  Each test is one backend feasibility call;
-        ``max_checks`` caps the effort for very large cores.
+        unsatisfiable.  Each test is one :meth:`_subset_proven_infeasible`
+        call; ``max_checks`` caps the effort for very large cores.
         """
         core = list(candidate)
         if len(core) <= 1:
@@ -143,9 +156,8 @@ class TheorySolverBase:
         position = 0
         while position < len(core) and checks < max_checks:
             trial = core[:position] + core[position + 1 :]
-            subset = [constraints[index] for index in trial]
             checks += 1
-            if not self.is_satisfiable(subset, bounds):
+            if self._subset_proven_infeasible(constraints, bounds, trial):
                 core = trial
             else:
                 position += 1
@@ -160,12 +172,6 @@ class ExactTheorySolver(TheorySolverBase):
     def __init__(self, max_nodes: int = 4000):
         super().__init__()
         self.max_nodes = max_nodes
-
-    def is_satisfiable(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> bool:
-        result = solve_integer_feasibility(self._as_ilp(constraints), bounds, max_nodes=self.max_nodes)
-        if result.status is ILPStatus.UNKNOWN:
-            raise TheoryError("exact branch-and-bound exhausted its node budget")
-        return result.status is ILPStatus.FEASIBLE
 
     def check(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> TheoryResult:
         result = solve_integer_feasibility(

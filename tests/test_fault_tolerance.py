@@ -124,12 +124,15 @@ class TestBackendDegradation:
         assert ResilientSolver(backend="smtlite").backend_name == "smtlite"
 
     def test_degradation_does_not_change_the_verdict(self):
+        # Pinned to a backend with a fallback: scipy-ilp ends the chain, so
+        # under REPRO_BACKEND=scipy-ilp the injected crash has nowhere to go.
+        options = VerificationOptions(backend="smtlite")
         install_plan({"faults": [{"site": "backend.check", "action": "raise", "at": 1}]})
-        with Verifier() as verifier:
+        with Verifier(options) as verifier:
             degraded = verifier.check(majority_protocol(), properties=["ws3"])
         reset_backend_health()
         clear_plan()
-        with Verifier() as verifier:
+        with Verifier(options) as verifier:
             clean = verifier.check(majority_protocol(), properties=["ws3"])
         assert degraded.is_ws3 == clean.is_ws3
         for name in ("ws3",):
