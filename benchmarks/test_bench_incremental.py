@@ -4,14 +4,11 @@ The scoped-delta simplifier's claim is that pushing a small delta onto a
 large simplified base costs time proportional to the *delta*, while the
 rebuild-per-scope strategy re-simplifies the whole flattened system each
 time.  The first pair of benchmarks measures exactly that on a growing
-scope stack; the second pair measures the end-to-end effect on the
-refinement loop it was built for (StrongConsensus on a protocol with a
-non-trivial pattern enumeration).
+scope stack; the second pair times the refinement loop it was built for
+(StrongConsensus on a protocol with a non-trivial pattern enumeration).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.constraints.incremental import ScopedSimplifier
 from repro.constraints.ir import ConstraintSystem
@@ -87,15 +84,11 @@ def test_from_scratch_simplification_on_growing_stack(benchmark):
     assert 0 < constraints <= BASE_CONSTRAINTS + SCOPES * DELTA_PER_SCOPE
 
 
-@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "rebuild"])
-def test_strong_consensus_flock_incremental_vs_rebuild(benchmark, incremental):
-    protocol = flock_of_birds_protocol(4)
-    result = run_once(benchmark, check_strong_consensus_impl, protocol, incremental=incremental)
+def test_strong_consensus_flock(benchmark):
+    result = run_once(benchmark, check_strong_consensus_impl, flock_of_birds_protocol(4))
     assert result.holds
 
 
-@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "rebuild"])
-def test_strong_consensus_threshold_incremental_vs_rebuild(benchmark, incremental):
-    protocol = threshold_protocol([1, -1], 0)
-    result = run_once(benchmark, check_strong_consensus_impl, protocol, incremental=incremental)
+def test_strong_consensus_threshold(benchmark):
+    result = run_once(benchmark, check_strong_consensus_impl, threshold_protocol([1, -1], 0))
     assert result.holds

@@ -258,9 +258,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Incremental-IR counters accumulated across the whole suite: scope
     # traffic, delta-simplification savings, base-level cut promotions and
-    # learned-core retention.  A snapshot with incrementality disabled
-    # (REPRO_INCREMENTAL=0) records all-zero scope counters, so the diff
-    # shows exactly what the scoped-delta machinery did.
+    # learned-core retention — what the scoped-delta machinery did.
     from repro.constraints.incremental import incremental_statistics
 
     # The process-global metrics registry, snapshotted once at the end:

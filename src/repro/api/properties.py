@@ -125,7 +125,6 @@ class LayeredTerminationChecker(PropertyChecker):
             engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return layered_termination_result(result)
 
@@ -145,7 +144,6 @@ class StrongConsensusChecker(PropertyChecker):
             engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return strong_consensus_result(result)
 
@@ -169,7 +167,6 @@ class WS3Checker(PropertyChecker):
             engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return ws3_result(result)
 
@@ -196,7 +193,6 @@ class CorrectnessChecker(PropertyChecker):
             engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return correctness_result(result, predicate)
 

@@ -333,15 +333,6 @@ def _add_verifier_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes for the parallel verification engine (default: 1, serial)",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help=(
-            "disable the incremental constraint IR (scoped deltas and base-level "
-            "cut reuse in the CEGAR loops); same verdicts, rebuild-per-scope "
-            "performance (also: REPRO_INCREMENTAL=0)"
-        ),
-    )
-    parser.add_argument(
         "--property",
         dest="properties",
         action="append",
@@ -443,8 +434,6 @@ def _options_from_args(args) -> VerificationOptions:
     overrides = {"strategy": args.strategy, "theory": args.theory, "jobs": args.jobs}
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if getattr(args, "no_incremental", False):
-        overrides["incremental"] = False
     retry_overrides = {}
     if getattr(args, "max_retries", None) is not None:
         retry_overrides["max_retries"] = args.max_retries

@@ -319,25 +319,6 @@ class ConstraintBuilder:
         system.add(self.non_negative(c2))
         return system
 
-    def consensus_pair_system(
-        self,
-        variables: tuple,
-        pattern_true: TerminalPattern,
-        pattern_false: TerminalPattern,
-        refinements: Iterable = (),
-    ) -> ConstraintSystem:
-        """The per-pattern-pair block: memberships, outputs, seeded refinements."""
-        c0, c1, c2, x1, x2 = variables
-        system = ConstraintSystem("consensus-pair")
-        system.add(self.pattern(c1, pattern_true))
-        system.add(self.pattern(c2, pattern_false))
-        system.add(self.has_output(c1, 1))
-        system.add(self.has_output(c2, 0))
-        for step in refinements:
-            system.add(self.refinement_constraint(step, c0, c1, x1, target_support=pattern_true.allowed))
-            system.add(self.refinement_constraint(step, c0, c2, x2, target_support=pattern_false.allowed))
-        return system
-
     def correctness_variables(self) -> tuple:
         """``(input_vars, c0, c1, x1)``: the correctness check's families.
 
@@ -370,28 +351,6 @@ class ConstraintBuilder:
         system.declare_group("flow:x1", (f"x1_{index}" for index in range(len(self.transitions))))
         system.add(LinearExpr.sum_of(input_vars.values()) >= 2)
         system.add(self.non_negative(c1))
-        return system
-
-    def correctness_pattern_system(
-        self,
-        variables: tuple,
-        expected_output: int,
-        pattern: TerminalPattern,
-        refinements: Iterable = (),
-    ) -> ConstraintSystem:
-        """The per-(direction, pattern) correctness block.
-
-        The predicate itself is compiled separately (through
-        :func:`repro.presburger.ir.predicate_system`, which declares the
-        fresh existential variables) and merged by the caller.
-        """
-        _input_vars, c0, c1, x1 = variables
-        system = ConstraintSystem("correctness-pattern")
-        system.add(self.pattern(c1, pattern))
-        # Wrong output: some populated state disagrees with the expected value.
-        system.add(self.has_output(c1, 1 - expected_output))
-        for step in refinements:
-            system.add(self.refinement_constraint(step, c0, c1, x1, target_support=pattern.allowed))
         return system
 
     # -- model extraction ----------------------------------------------------

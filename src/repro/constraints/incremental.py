@@ -2,16 +2,11 @@
 
 The CEGAR loops of the verification layer pose hundreds of closely-related
 queries per protocol: one solver scope per pattern pair / layer bound, each
-differing from a stable base by a handful of constraints.  Before this
-module the per-scope block was rebuilt, re-simplified and re-asserted from
-scratch — quadratic in the number of refinements, and the dominant cost of
-the hot bench rows.  This module provides the pieces that make scopes true
-deltas:
+differing from a stable base by a handful of constraints.  Rebuilding,
+re-simplifying and re-asserting each scope's block from scratch is
+quadratic in the number of refinements, so every loop runs on scoped
+deltas instead.  This module provides the pieces:
 
-* :func:`incremental_enabled` / :func:`resolve_incremental` — the process
-  default (the ``REPRO_INCREMENTAL`` environment variable; ``0`` restores
-  the rebuild-per-scope behaviour) and the per-call override threaded from
-  :class:`repro.api.options.VerificationOptions`;
 * :class:`SimplifyIndex` — a persistent duplicate/subsumption index with an
   undo trail, so delta constraints are checked against everything already
   asserted in O(1) instead of a full re-pass over the whole system;
@@ -20,6 +15,9 @@ deltas:
   is simplified once (through the content-hash cache), and each scope's
   delta is normalised alone — constant folding, optional bound tightening,
   dedup and subsumption against the index — with per-scope savings stats;
+* :class:`ScopedSolver` — a solver and its :class:`ScopedSimplifier` moved
+  in lockstep: one constructor asserts the simplified base, one
+  :meth:`~ScopedSolver.scope` pushes and pops both stacks together;
 * :func:`incremental_statistics` — process-wide counters (scopes pushed and
   popped, delta constraints simplified, full re-simplifications avoided,
   learned cores retained across pops) surfaced through the ``stats`` serve
@@ -38,28 +36,14 @@ Soundness invariants (asserted by the property-based tests):
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.constraints.ir import ConstraintSystem
+from repro.constraints.ir import DEFAULT_BOUND, ConstraintSystem
 from repro.constraints.simplify import SimplifyStats, _single_variable_bound, fold_constants
 from repro.constraints.simplify_cache import simplify_system_cached
 from repro.obs.metrics import REGISTRY
 from repro.smtlite.formula import FALSE, And, Atom, BoolConst, Formula
-
-#: The escape hatch: ``REPRO_INCREMENTAL=0`` restores rebuild-per-scope.
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
-
-
-def incremental_enabled() -> bool:
-    """The process-wide default, from ``REPRO_INCREMENTAL`` (on unless ``0``)."""
-    return os.environ.get(INCREMENTAL_ENV, "1").strip().lower() not in ("0", "false", "off")
-
-
-def resolve_incremental(flag: bool | None) -> bool:
-    """A per-call override (``None`` defers to the environment default)."""
-    return incremental_enabled() if flag is None else bool(flag)
-
 
 # ----------------------------------------------------------------------
 # Process-wide incremental counters (one registry metric, event-labelled)
@@ -113,7 +97,6 @@ def incremental_statistics() -> dict:
     snapshot["core_retention_rate"] = (
         round(snapshot["cores_retained_across_pops"] / learned, 4) if learned else None
     )
-    snapshot["enabled_default"] = incremental_enabled()
     return snapshot
 
 
@@ -389,3 +372,54 @@ class ScopedSimplifier:
             "folded": sum(s.folded for s in closed),
             "tightened": sum(s.tightened for s in closed),
         }
+
+
+# ----------------------------------------------------------------------
+# A solver and its scoped simplifier, in lockstep
+# ----------------------------------------------------------------------
+
+
+class ScopedSolver:
+    """A solver driven through a :class:`ScopedSimplifier`.
+
+    The constructor simplifies ``base`` once and asserts it; :meth:`add`
+    asserts only the formulas the delta pass admits; :meth:`scope` pushes
+    and pops the solver and the simplifier together.  Every CEGAR loop of
+    the verification layer goes through this class, so the solver's scope
+    stack and the simplifier's mirror system cannot drift apart.  Bound
+    tightening stays off: solver scopes cannot retract bounds.
+    """
+
+    def __init__(self, solver, base: ConstraintSystem, stats: SimplifyStats | None = None):
+        self.solver = solver
+        self.simplifier = ScopedSimplifier(base, tighten_bounds=False, stats=stats)
+        self.simplifier.system.assert_into(solver)
+
+    def add(self, *formulas: Formula) -> None:
+        """Assert the survivors of ``formulas`` at the current depth."""
+        for formula in self.simplifier.add_delta(*formulas):
+            self.solver.add(formula)
+
+    def declare(self, variable: str, lower: int | None = 0, upper: int | None = None) -> None:
+        """Declare a variable on both sides, unscoped (see :meth:`ScopedSimplifier.declare`).
+
+        The solver only hears about domains other than the default: its
+        variables start non-negative and unbounded anyway.
+        """
+        self.simplifier.declare(variable, lower, upper)
+        if (lower, upper) != DEFAULT_BOUND:
+            self.solver.int_var(variable, lower=lower, upper=upper)
+
+    @contextmanager
+    def scope(self):
+        """One push/pop scope on the solver and the simplifier at once."""
+        self.solver.push()
+        self.simplifier.push()
+        try:
+            yield self
+        finally:
+            self.solver.pop()
+            self.simplifier.pop()
+
+    def savings_summary(self) -> dict:
+        return self.simplifier.savings_summary()

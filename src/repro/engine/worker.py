@@ -128,7 +128,6 @@ def _solve_consensus_pair(subproblem: Subproblem) -> SubproblemResult:
         protocol_key=subproblem.protocol_key,
         backend=params.get("backend"),
         context=_context_for(subproblem, protocol),
-        incremental=params.get("incremental"),
     )
     # The counterexample model is deliberately not shipped: on SAT the
     # coordinator re-derives the canonical one via the serial path, so only
@@ -157,7 +156,6 @@ def _solve_correctness_pattern(subproblem: Subproblem) -> SubproblemResult:
         max_refinements=params.get("max_refinements", 10_000),
         backend=params.get("backend"),
         context=_context_for(subproblem, protocol),
-        incremental=params.get("incremental"),
     )
     return SubproblemResult(
         kind=subproblem.kind,
@@ -180,7 +178,6 @@ def _solve_termination_strategy(subproblem: Subproblem) -> SubproblemResult:
         theory=params.get("theory", "auto"),
         backend=params.get("backend"),
         context=_context_for(subproblem, protocol),
-        incremental=params.get("incremental"),
     )
     data = {"strategy": params["strategy"], "reason": result.reason}
     if result.holds and result.certificate is not None:

@@ -32,10 +32,8 @@ from typing import Protocol as TypingProtocol
 from repro.constraints.backends import create_solver, resolve_backend_name
 from repro.constraints.builders import ConstraintBuilder
 from repro.constraints.context import AnalysisContext
-from repro.constraints.incremental import ScopedSimplifier, bump, resolve_incremental
-from repro.constraints.ir import DEFAULT_BOUND
+from repro.constraints.incremental import ScopedSolver, bump
 from repro.constraints.simplify import SimplifyStats
-from repro.constraints.simplify_cache import simplify_system_cached
 from repro.datatypes.multiset import Multiset
 from repro.engine import monitor
 from repro.protocols.protocol import PopulationProtocol
@@ -68,22 +66,34 @@ class CorrectnessResult:
         return self.holds
 
 
-def _assert_correctness_base(
-    protocol: PopulationProtocol,
+def _correctness_solver(
     builder: ConstraintBuilder,
     solver,
-    simplifier: SimplifyStats | None = None,
-) -> tuple:
-    """Declare the shared input/flow variables and assert the base constraints.
+    variables: tuple,
+    seeds=(),
+    stats: SimplifyStats | None = None,
+) -> ScopedSolver:
+    """``solver`` with the pattern-independent block and ``seeds`` at base level.
 
     The initial configuration is the image of the input under I, expressed
     directly over the input variables; the flow equations are likewise
     substituted away (c1 is an expression over the input and the flow).
     """
-    variables = builder.correctness_variables()
-    system = builder.correctness_base_system(variables)
-    simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
-    return variables
+    scoped = ScopedSolver(solver, builder.correctness_base_system(variables), stats=stats)
+    _promote_cuts(scoped, builder, variables, seeds)
+    return scoped
+
+
+def _promote_cuts(scoped: ScopedSolver, builder: ConstraintBuilder, variables: tuple, steps) -> None:
+    """Assert cuts once, at base level, in general form.
+
+    Equivalence with the specialized ``target_support`` form holds under
+    pattern membership exactly as in the StrongConsensus check.
+    """
+    _input_vars, c0, c1, x1 = variables
+    for step in steps:
+        scoped.add(builder.refinement_constraint(step, c0, c1, x1))
+        bump("cuts_promoted_to_base")
 
 
 def correctness_tasks(
@@ -111,7 +121,6 @@ def check_correctness_impl(
     engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> CorrectnessResult:
     """Check that a protocol computes ``predicate``.
 
@@ -138,8 +147,7 @@ def check_correctness_impl(
     if engine is not None and engine.parallel:
         try:
             return _check_correctness_engine(
-                protocol, predicate, theory, max_refinements, engine, backend, context,
-                incremental=incremental,
+                protocol, predicate, theory, max_refinements, engine, backend, context
             )
         finally:
             if owned_engine:
@@ -149,35 +157,27 @@ def check_correctness_impl(
     refinements: list[RefinementStep] = []
     simplifier = SimplifyStats()
     statistics = {"iterations": 0, "traps": 0, "siphons": 0, "solver_instances": 1}
-    use_incremental = resolve_incremental(incremental)
-    statistics["incremental"] = use_incremental
 
     # One persistent solver for both output directions and all terminal
     # support patterns (cf. the StrongConsensus check): the input encoding,
-    # flow variables and non-negativity constraints are asserted once, the
-    # per-direction/per-pattern constraints live in push/pop scopes, and
-    # lemmas learned while refuting one pattern carry over to the next.
+    # flow variables, non-negativity constraints and every cut found so far
+    # live at base level, the per-direction/per-pattern constraints live in
+    # scoped deltas, and lemmas learned while refuting one pattern carry
+    # over to the next.
     builder = context.builder
-    solver = create_solver(backend, theory=theory)
-    scoped: ScopedSimplifier | None = None
-    if use_incremental:
-        variables = builder.correctness_variables()
-        scoped = ScopedSimplifier(
-            builder.correctness_base_system(variables), tighten_bounds=False, stats=simplifier
-        )
-        scoped.system.assert_into(solver)
-    else:
-        variables = _assert_correctness_base(protocol, builder, solver, simplifier)
+    variables = builder.correctness_variables()
+    scoped = _correctness_solver(
+        builder, create_solver(backend, theory=theory), variables, stats=simplifier
+    )
     predicate_memo: dict[int, tuple] = {}
 
-    def promote_cuts(new_steps: list[RefinementStep]) -> None:
-        """Assert a pattern's new cuts once, at base level, in general form."""
-        _input_vars, c0, c1, x1 = variables
-        for step in new_steps:
-            cut = builder.refinement_constraint(step, c0, c1, x1)
-            for formula in scoped.add_delta(cut):
-                solver.add(formula)
-            bump("cuts_promoted_to_base")
+    def finish(result: CorrectnessResult) -> CorrectnessResult:
+        statistics["solver"] = dict(scoped.solver.statistics)
+        statistics["simplifier"] = simplifier.to_dict()
+        statistics["scoped_simplifier"] = scoped.savings_summary()
+        statistics["backend"] = resolve_backend_name(backend)
+        statistics["time"] = time.perf_counter() - start
+        return result
 
     patterns = context.terminal_patterns
     for expected_output in (1, 0):
@@ -189,14 +189,11 @@ def check_correctness_impl(
             monitor.check_cancelled()
             statistics["pattern_pairs"] = statistics.get("pattern_pairs", 0) + 1
             pattern_start = len(refinements)
-            solver.push()
-            if scoped is not None:
-                scoped.push()
-            try:
+            with scoped.scope():
                 outcome = _solve_pattern(
                     protocol,
                     builder,
-                    solver,
+                    scoped,
                     variables,
                     predicate,
                     expected_output,
@@ -205,43 +202,25 @@ def check_correctness_impl(
                     refinements,
                     statistics,
                     context=context,
-                    simplifier=simplifier,
-                    scoped=scoped,
                     predicate_memo=predicate_memo,
                 )
-            finally:
-                solver.pop()
-                if scoped is not None:
-                    scoped.pop()
-            if scoped is not None:
-                promote_cuts(refinements[pattern_start:])
+            _promote_cuts(scoped, builder, variables, refinements[pattern_start:])
             if outcome is not None:
-                statistics["solver"] = dict(solver.statistics)
-                statistics["simplifier"] = simplifier.to_dict()
-                if scoped is not None:
-                    statistics["scoped_simplifier"] = scoped.savings_summary()
-                statistics["backend"] = resolve_backend_name(backend)
-                statistics["time"] = time.perf_counter() - start
-                return CorrectnessResult(
-                    holds=False,
-                    counterexample=outcome,
-                    refinements=refinements,
-                    statistics=statistics,
+                return finish(
+                    CorrectnessResult(
+                        holds=False,
+                        counterexample=outcome,
+                        refinements=refinements,
+                        statistics=statistics,
+                    )
                 )
-
-    statistics["solver"] = dict(solver.statistics)
-    statistics["simplifier"] = simplifier.to_dict()
-    if scoped is not None:
-        statistics["scoped_simplifier"] = scoped.savings_summary()
-    statistics["backend"] = resolve_backend_name(backend)
-    statistics["time"] = time.perf_counter() - start
-    return CorrectnessResult(holds=True, refinements=refinements, statistics=statistics)
+    return finish(CorrectnessResult(holds=True, refinements=refinements, statistics=statistics))
 
 
 def _solve_pattern(
     protocol: PopulationProtocol,
     builder: ConstraintBuilder,
-    solver,
+    scoped: ScopedSolver,
     variables: tuple,
     predicate: PredicateLike,
     expected_output: int,
@@ -250,65 +229,42 @@ def _solve_pattern(
     refinements: list[RefinementStep],
     statistics: dict,
     context: AnalysisContext | None = None,
-    simplifier: SimplifyStats | None = None,
-    scoped: ScopedSimplifier | None = None,
     predicate_memo: dict | None = None,
 ) -> CorrectnessCounterexample | None:
     """Run the refinement loop for one pattern inside an open solver scope.
 
-    Non-incremental (``scoped is None``): the per-pattern block — the
-    pattern membership, the wrong-output constraint, the compiled predicate
-    (or its negation) and the trap/siphon constraints discovered for earlier
-    patterns (they only reference the shared flow and configurations, so
-    they are valid here too) — is one IR system, simplified without bound
-    tightening (the scope is retractable).
-
-    Incremental (``scoped`` given): earlier patterns' cuts already live at
-    base level in general form, so the delta is only the pattern membership,
-    the wrong-output constraint and the (per-direction memoized) compiled
-    predicate; new cuts are asserted in general form and re-promoted to base
-    by the caller after pop.  Equivalence with the specialized
-    ``target_support`` form holds under pattern membership exactly as in the
-    StrongConsensus check.
+    Earlier patterns' cuts already live at base level in general form, so
+    the delta is only the pattern membership, the wrong-output constraint
+    and the (per-direction memoized) compiled predicate; new cuts are
+    asserted in general form and re-promoted to base by the caller after
+    pop.
     """
     from repro.presburger.ir import predicate_system
 
     input_vars, c0, c1, x1 = variables
     supports = context.transition_supports if context is not None else None
-    if scoped is not None:
-        memo = predicate_memo if predicate_memo is not None else {}
-        entry = memo.get(expected_output)
-        if entry is None:
-            compiled = predicate_system(predicate, input_vars, negate=(expected_output == 0))
-            entry = (dict(compiled.bounds), list(compiled.constraints))
-            memo[expected_output] = entry
-        pred_bounds, pred_constraints = entry
-        # The predicate's fresh existential variables (e.g. remainder
-        # quotients) are declared unscoped — solver scopes never retract
-        # declarations, so the mirror system must not either.  Re-declaring
-        # on a later scope with the same direction is idempotent.
-        for variable, (lower, upper) in pred_bounds.items():
-            scoped.declare(variable, lower, upper)
-            if (lower, upper) != DEFAULT_BOUND:
-                solver.int_var(variable, lower=lower, upper=upper)
-        delta = [
-            builder.pattern(c1, pattern),
-            builder.has_output(c1, 1 - expected_output),
-            *pred_constraints,
-        ]
-        for formula in scoped.add_delta(*delta):
-            solver.add(formula)
-    else:
-        system = builder.correctness_pattern_system(variables, expected_output, pattern, refinements)
-        # The predicate block is compiled separately through the presburger->IR
-        # path so fresh existential variables (remainder quotients) land in the
-        # system's variable groups.
-        system.merge(predicate_system(predicate, input_vars, negate=(expected_output == 0)))
-        simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
+    memo = predicate_memo if predicate_memo is not None else {}
+    entry = memo.get(expected_output)
+    if entry is None:
+        compiled = predicate_system(predicate, input_vars, negate=(expected_output == 0))
+        entry = (dict(compiled.bounds), list(compiled.constraints))
+        memo[expected_output] = entry
+    pred_bounds, pred_constraints = entry
+    # The predicate's fresh existential variables (e.g. remainder
+    # quotients) are declared unscoped — solver scopes never retract
+    # declarations, so the mirror system must not either.  Re-declaring
+    # on a later scope with the same direction is idempotent.
+    for variable, (lower, upper) in pred_bounds.items():
+        scoped.declare(variable, lower, upper)
+    scoped.add(
+        builder.pattern(c1, pattern),
+        builder.has_output(c1, 1 - expected_output),
+        *pred_constraints,
+    )
 
     for iteration in range(max_refinements):
         statistics["iterations"] += 1
-        result = solver.check()
+        result = scoped.solver.check()
         if result.status is SolverStatus.UNSAT:
             return None
         if result.status is SolverStatus.UNKNOWN:
@@ -338,13 +294,7 @@ def _solve_pattern(
         refinements.append(step)
         statistics["traps" if step.kind == "trap" else "siphons"] += 1
         monitor.emit_refinement_found(step.kind, step.states, step.iteration)
-        if scoped is not None:
-            for formula in scoped.add_delta(builder.refinement_constraint(step, c0, c1, x1)):
-                solver.add(formula)
-        else:
-            solver.add(
-                builder.refinement_constraint(step, c0, c1, x1, target_support=pattern.allowed)
-            )
+        scoped.add(builder.refinement_constraint(step, c0, c1, x1))
     raise RuntimeError(
         f"correctness refinement did not converge within {max_refinements} iterations"
     )
@@ -374,42 +324,30 @@ def solve_correctness_pattern_subproblem(
     max_refinements: int = 10_000,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> CorrectnessPatternOutcome:
     """Solve one (direction, pattern) subproblem on a fresh solver.
 
     Like its StrongConsensus counterpart, the outcome depends only on the
     arguments — never on sibling subproblems solved by the same process —
-    which keeps parallel runs reproducible.  In incremental mode the seeded
-    cuts are asserted once at base level in general form and the pattern's
-    block lives in a scoped delta, mirroring the serial path.
+    which keeps parallel runs reproducible.  The seeded cuts are asserted
+    once at base level in general form and the pattern's block lives in a
+    scoped delta, mirroring the serial path.
     """
     if context is None:
         context = AnalysisContext(protocol)
     builder = context.builder
-    solver = create_solver(backend, theory=theory)
     refinements = list(seed_refinements)
     seeded = len(refinements)
     statistics = {"iterations": 0, "traps": 0, "siphons": 0}
-    use_incremental = resolve_incremental(incremental)
-    scoped: ScopedSimplifier | None = None
-    if use_incremental:
-        variables = builder.correctness_variables()
-        _input_vars, c0, c1, x1 = variables
-        scoped = ScopedSimplifier(builder.correctness_base_system(variables), tighten_bounds=False)
-        scoped.system.assert_into(solver)
-        for step in refinements:
-            for formula in scoped.add_delta(builder.refinement_constraint(step, c0, c1, x1)):
-                solver.add(formula)
-        solver.push()
-        scoped.push()
-    else:
-        variables = _assert_correctness_base(protocol, builder, solver)
-    try:
+    variables = builder.correctness_variables()
+    scoped = _correctness_solver(
+        builder, create_solver(backend, theory=theory), variables, seeds=refinements
+    )
+    with scoped.scope():
         outcome = _solve_pattern(
             protocol,
             builder,
-            solver,
+            scoped,
             variables,
             predicate,
             expected_output,
@@ -418,14 +356,9 @@ def solve_correctness_pattern_subproblem(
             refinements,
             statistics,
             context=context,
-            scoped=scoped,
         )
-    finally:
-        if scoped is not None:
-            solver.pop()
-            scoped.pop()
-            statistics["scoped_simplifier"] = scoped.savings_summary()
-    statistics["solver"] = dict(solver.statistics)
+    statistics["scoped_simplifier"] = scoped.savings_summary()
+    statistics["solver"] = dict(scoped.solver.statistics)
     return CorrectnessPatternOutcome(
         verdict="unsat" if outcome is None else "sat",
         new_refinements=refinements[seeded:],
@@ -445,7 +378,6 @@ def correctness_pattern_subproblems(
     protocol_key: str,
     backend: str | None = None,
     context_data: dict | None = None,
-    incremental: bool | None = None,
 ) -> list:
     """Package a slice of the (direction, pattern) enumeration as subproblems."""
     from repro.engine.subproblem import Subproblem
@@ -465,7 +397,6 @@ def correctness_pattern_subproblems(
                 "max_refinements": max_refinements,
                 "backend": backend,
                 "context": context_data or {},
-                "incremental": incremental,
             },
         )
         for offset, (expected_output, pattern) in enumerate(tasks)
@@ -480,7 +411,6 @@ def _check_correctness_engine(
     engine,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> CorrectnessResult:
     """Fan the (direction, pattern) subproblems over the worker pool.
 
@@ -523,7 +453,6 @@ def _check_correctness_engine(
             protocol_key,
             backend,
             context_data,
-            incremental,
         ),
         statistics,
     )
@@ -536,7 +465,6 @@ def _check_correctness_engine(
             max_refinements=max_refinements,
             backend=backend,
             context=context,
-            incremental=incremental,
         )
         serial.statistics["parallel"] = {
             "jobs": engine.jobs,

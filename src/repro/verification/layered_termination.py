@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 
 from repro.constraints.backends import create_solver, resolve_backend_name
 from repro.constraints.context import AnalysisContext
-from repro.constraints.incremental import ScopedSimplifier, resolve_incremental
+from repro.constraints.incremental import ScopedSolver
 from repro.constraints.ir import ConstraintSystem
 from repro.datatypes.multiset import Multiset
 from repro.engine import monitor
@@ -340,7 +340,6 @@ def smt_partition_search(
     theory: str = "auto",
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> OrderedPartition | None:
     """Exact partition search via the constraint encoding of Appendix D.1.
 
@@ -357,14 +356,13 @@ def smt_partition_search(
     paper requires the enabled transition to be in the *same* layer as
     ``u``, which is sufficient but slightly stronger).
 
-    In incremental mode the encoding is routed through the constraint IR and
-    a :class:`ScopedSimplifier`: the base (simplified once — folding kills
-    the ``|T|`` vacuous ``t == u`` implications of condition (b), whose
+    The encoding is built in the constraint IR and driven through a
+    :class:`ScopedSolver`: the base (simplified once — folding kills the
+    ``|T|`` vacuous ``t == u`` implications of condition (b), whose
     antecedent ``b_t < b_t`` is constantly false) is asserted once, and each
     round ``k`` is a scoped delta of ``b_t <= k`` atoms pushed and popped on
-    the solver instead of re-sent assumption lists.  Verdicts are identical;
-    the returned partition is re-checked by :func:`check_partition` either
-    way.
+    the solver.  The returned partition is re-checked by
+    :func:`check_partition`.
     """
     transitions = list(protocol.transitions)
     if not transitions:
@@ -378,41 +376,26 @@ def smt_partition_search(
     witnesses = (
         context.lemma22_witnesses if context is not None else _lemma22_witness_sets(transitions)
     )
-    use_incremental = resolve_incremental(incremental)
 
     # One persistent solver for the whole 1..max_layers sweep: the encoding
     # is built once for the largest bound, and each round k is checked under
-    # ``b_t <= k`` (a scoped delta when incremental, an assumption list
-    # otherwise).  Lemmas learned while refuting small bounds carry over to
-    # the larger ones.  (The encoding is deeply disjunctive, so the
-    # direct-ILP backend's case budget overflows and it answers through its
-    # DPLL(T) escape hatch — same verdicts, asserted by the parity tests.)
+    # a scoped ``b_t <= k``.  Lemmas learned while refuting small bounds
+    # carry over to the larger ones.  (The encoding is deeply disjunctive,
+    # so the direct-ILP backend's case budget overflows and it answers
+    # through its DPLL(T) escape hatch — same verdicts, asserted by the
+    # parity tests.)
     solver = create_solver(backend, theory=theory)
-    scoped: ScopedSimplifier | None = None
-    if use_incremental:
-        system = ConstraintSystem("layered-termination")
-        layer_var = {
-            transition: system.declare(f"b{index}", lower=1, upper=max_layers, group="layer")
-            for index, transition in enumerate(transitions)
-        }
-        states = sorted(protocol.states, key=repr)
-        ranking_vars = {
-            (layer, state): system.declare(f"y_{layer}_{position}", lower=0, group="ranking")
-            for layer in range(1, max_layers + 1)
-            for position, state in enumerate(states)
-        }
-    else:
-        layer_var = {}
-        for index, transition in enumerate(transitions):
-            layer_var[transition] = solver.int_var(f"b{index}", lower=1, upper=max_layers)
-        states = sorted(protocol.states, key=repr)
-        ranking_vars = {
-            (layer, state): solver.int_var(f"y_{layer}_{position}", lower=0)
-            for layer in range(1, max_layers + 1)
-            for position, state in enumerate(states)
-        }
-
-    sink = system if use_incremental else solver
+    system = ConstraintSystem("layered-termination")
+    layer_var = {
+        transition: system.declare(f"b{index}", lower=1, upper=max_layers, group="layer")
+        for index, transition in enumerate(transitions)
+    }
+    states = sorted(protocol.states, key=repr)
+    ranking_vars = {
+        (layer, state): system.declare(f"y_{layer}_{position}", lower=0, group="ranking")
+        for layer in range(1, max_layers + 1)
+        for position, state in enumerate(states)
+    }
 
     # Condition (a): each layer admits a ranking function.  Constraints for
     # layers above the current bound are vacuous under ``b_t <= k``.
@@ -422,7 +405,7 @@ def smt_partition_search(
                 change * ranking_vars[(layer, state)]
                 for state, change in transition.delta_map.items()
             )
-            sink.add(Implies(layer_var[transition].eq(layer), drop <= -1))
+            system.add(Implies(layer_var[transition].eq(layer), drop <= -1))
 
     # Condition (b): a later transition cannot wake an earlier layer.
     for t in transitions:
@@ -430,26 +413,13 @@ def smt_partition_search(
             enabled_below = disjunction(
                 [layer_var[w] < layer_var[t] for w in witnesses[(t, u)]]
             )
-            sink.add(Implies(layer_var[u] < layer_var[t], enabled_below))
+            system.add(Implies(layer_var[u] < layer_var[t], enabled_below))
 
-    if use_incremental:
-        scoped = ScopedSimplifier(system, tighten_bounds=False)
-        scoped.system.assert_into(solver)
-
+    scoped = ScopedSolver(solver, system)
     for num_layers in range(1, max_layers + 1):
-        round_atoms = [layer_var[t] <= num_layers for t in transitions]
-        if scoped is not None:
-            solver.push()
-            scoped.push()
-            try:
-                for formula in scoped.add_delta(*round_atoms):
-                    solver.add(formula)
-                result = solver.check()
-            finally:
-                solver.pop()
-                scoped.pop()
-        else:
-            result = solver.check(assumptions=round_atoms)
+        with scoped.scope():
+            scoped.add(*(layer_var[t] <= num_layers for t in transitions))
+            result = solver.check()
         if result.status is not SolverStatus.SAT:
             continue
         assignment = {t: result.model.value(layer_var[t]) for t in transitions}
@@ -514,7 +484,6 @@ def attempt_strategy(
     materialize_rankings: bool = False,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> LayeredTerminationResult:
     """Run exactly one partition-search strategy, with no fallbacks.
 
@@ -534,8 +503,7 @@ def attempt_strategy(
         failure = "the enabling-graph heuristic produced no silent layering"
     elif strategy == "smt":
         partition = smt_partition_search(
-            protocol, max_layers=max_layers, theory=theory, backend=backend, context=context,
-            incremental=incremental,
+            protocol, max_layers=max_layers, theory=theory, backend=backend, context=context
         )
         failure = "no ordered partition found within the layer bound"
     else:
@@ -564,7 +532,6 @@ def termination_strategy_subproblems(
     first_index: int = 0,
     backend: str | None = None,
     context_data: dict | None = None,
-    incremental: bool | None = None,
 ) -> list:
     """Package a strategy portfolio as engine subproblems (priority order)."""
     from repro.engine.subproblem import Subproblem
@@ -581,7 +548,6 @@ def termination_strategy_subproblems(
                 "theory": theory,
                 "backend": backend,
                 "context": context_data or {},
-                "incremental": incremental,
             },
         )
         for offset, strategy in enumerate(strategies)
@@ -596,7 +562,6 @@ def _check_layered_termination_portfolio(
     theory: str,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> LayeredTerminationResult:
     """The ``"auto"`` strategy as a parallel portfolio.
 
@@ -655,7 +620,6 @@ def _check_layered_termination_portfolio(
             protocol_key,
             backend=backend,
             context_data=context_data,
-            incremental=incremental,
         )
     )
     for result in results:  # input order == priority order
@@ -673,7 +637,6 @@ def _check_layered_termination_portfolio(
             first_index=len(heuristics),
             backend=backend,
             context_data=context_data,
-            incremental=incremental,
         )
     )
     smt_result = smt_results[0]
@@ -703,7 +666,6 @@ def check_layered_termination_impl(
     engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> LayeredTerminationResult:
     """Decide LayeredTermination (implementation; see the deprecated shim below).
 
@@ -738,8 +700,7 @@ def check_layered_termination_impl(
     if engine is not None and engine.parallel and strategy == "auto":
         try:
             return _check_layered_termination_portfolio(
-                protocol, engine, max_layers, materialize_rankings, theory, backend, context,
-                incremental=incremental,
+                protocol, engine, max_layers, materialize_rankings, theory, backend, context
             )
         finally:
             if owned_engine:
@@ -748,11 +709,7 @@ def check_layered_termination_impl(
         engine.shutdown()
 
     start = time.perf_counter()
-    statistics: dict = {
-        "strategy": None,
-        "backend": resolve_backend_name(backend),
-        "incremental": resolve_incremental(incremental),
-    }
+    statistics: dict = {"strategy": None, "backend": resolve_backend_name(backend)}
 
     def finish(result: LayeredTerminationResult, used_strategy: str) -> LayeredTerminationResult:
         statistics["strategy"] = used_strategy
@@ -783,8 +740,7 @@ def check_layered_termination_impl(
 
     if strategy in ("auto", "smt"):
         partition = smt_partition_search(
-            protocol, max_layers=max_layers, theory=theory, backend=backend, context=context,
-            incremental=incremental,
+            protocol, max_layers=max_layers, theory=theory, backend=backend, context=context
         )
         if partition is not None:
             result = check_partition(

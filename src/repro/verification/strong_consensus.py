@@ -54,7 +54,7 @@ from repro.constraints.builders import (  # noqa: F401  (re-exported legacy surf
     terminal_support_patterns,
 )
 from repro.constraints.context import AnalysisContext
-from repro.constraints.incremental import ScopedSimplifier, bump, resolve_incremental
+from repro.constraints.incremental import ScopedSolver, bump
 from repro.constraints.simplify import SimplifyStats
 from repro.constraints.simplify_cache import simplify_system_cached
 from repro.engine import monitor
@@ -135,7 +135,6 @@ def check_strong_consensus_impl(
     engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> StrongConsensusResult:
     """Decide StrongConsensus with the trap/siphon refinement loop of Section 6.
 
@@ -186,12 +185,11 @@ def check_strong_consensus_impl(
             if engine is not None and engine.parallel:
                 result = _check_with_patterns_engine(
                     protocol, true_patterns, false_patterns, theory, max_refinements, engine,
-                    backend, context, incremental=incremental,
+                    backend, context,
                 )
             else:
                 result = _check_with_patterns(
-                    protocol, true_patterns, false_patterns, theory, max_refinements,
-                    backend, context, incremental=incremental,
+                    protocol, true_patterns, false_patterns, theory, max_refinements, backend, context
                 )
         else:
             result = _check_monolithic(protocol, theory, max_refinements, backend, context)
@@ -200,7 +198,6 @@ def check_strong_consensus_impl(
             engine.shutdown()
     result.statistics["strategy"] = chosen
     result.statistics["backend"] = resolve_backend_name(backend)
-    result.statistics.setdefault("incremental", resolve_incremental(incremental))
     result.statistics["time"] = time.perf_counter() - start
     if patterns is not None:
         result.statistics["patterns"] = len(patterns)
@@ -216,7 +213,6 @@ def check_strong_consensus(
     jobs: int = 1,
     engine=None,
     backend: str | None = None,
-    incremental: bool | None = None,
 ) -> StrongConsensusResult:
     """Deprecated: use :class:`repro.api.Verifier` instead.
 
@@ -241,7 +237,6 @@ def check_strong_consensus(
         jobs=jobs,
         engine=engine,
         backend=backend,
-        incremental=incremental,
     )
 
 
@@ -250,44 +245,75 @@ def check_strong_consensus(
 # ----------------------------------------------------------------------
 
 
-def _consensus_variables(builder: ConstraintBuilder) -> tuple:
-    """The shared variable families ``(c0, c1, c2, x1, x2)`` of Appendix D.2."""
-    return builder.consensus_variables()
+def _consensus_solver(
+    builder: ConstraintBuilder,
+    solver,
+    variables: tuple,
+    seeds: Iterable[RefinementStep] = (),
+    stats: SimplifyStats | None = None,
+) -> ScopedSolver:
+    """``solver`` with the pair-independent block and ``seeds`` at base level.
 
-
-def _assert_consensus_base(
-    builder: ConstraintBuilder, solver, variables: tuple, simplifier: SimplifyStats | None = None
-) -> None:
-    """Assert the pair-independent block (initial population, non-negativity).
-
-    Bound tightening stays off: the persistent solver reuses this block
-    across the whole pattern sweep, and folding the off-initial constraints
-    into bounds would perturb the theory backend's solution trajectory —
-    the refinement sequence must stay reproducible across worker counts.
+    The base is the initial population plus non-negativity of both derived
+    configurations.  Bound tightening stays off: the persistent solver
+    reuses this block across the whole pattern sweep, and folding the
+    off-initial constraints into bounds would perturb the theory backend's
+    solution trajectory — the refinement sequence must stay reproducible
+    across worker counts.
     """
-    system = builder.consensus_base_system(variables)
-    simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
+    scoped = ScopedSolver(solver, builder.consensus_base_system(variables), stats=stats)
+    _promote_cuts(scoped, builder, variables, seeds)
+    return scoped
 
 
-def _general_consensus_cuts(
-    builder: ConstraintBuilder, variables: tuple, step: RefinementStep
-) -> tuple:
-    """The pair-independent (``target_support=None``) form of a cut, both sides.
+def _promote_cuts(
+    scoped: ScopedSolver, builder: ConstraintBuilder, variables: tuple, steps: Iterable[RefinementStep]
+) -> None:
+    """Assert cuts once, at base level, in their pair-independent form.
 
-    Equivalence with the specialized per-pair form (the one that intersects
-    the marked states with ``pattern.allowed``) holds *inside a pair's
-    scope*: pattern membership forces every off-pattern state of the
-    terminal configuration to zero, and non-negativity is part of the base,
-    so the marked sums agree on every model the scope admits.  Siphon cuts
-    never used ``target_support`` to begin with.  Asserting the general form
-    at base level is therefore sound for every pair (a Definition-12
-    refinement is pair-independent) and equivalent under each pair's scope.
+    The general form (``target_support=None``) is equivalent to the
+    specialized per-pair form (the one that intersects the marked states
+    with ``pattern.allowed``) *inside a pair's scope*: pattern membership
+    forces every off-pattern state of the terminal configuration to zero,
+    and non-negativity is part of the base, so the marked sums agree on
+    every model the scope admits.  Siphon cuts never used ``target_support``
+    to begin with.  Asserting the general form at base level is therefore
+    sound for every pair (a Definition-12 refinement is pair-independent)
+    and equivalent under each pair's scope.
+
+    ``find_refinement`` can never rediscover a cut whose general form is
+    already active (the model would have to violate it), so promotion
+    introduces no duplicates across pairs — but the index still guards
+    against textual repeats from symmetric pairs.
     """
     c0, c1, c2, x1, x2 = variables
-    return (
-        builder.refinement_constraint(step, c0, c1, x1),
-        builder.refinement_constraint(step, c0, c2, x2),
-    )
+    for step in steps:
+        scoped.add(
+            builder.refinement_constraint(step, c0, c1, x1),
+            builder.refinement_constraint(step, c0, c2, x2),
+        )
+        bump("cuts_promoted_to_base")
+
+
+def _pair_delta(
+    builder: ConstraintBuilder,
+    variables: tuple,
+    pattern_true: TerminalPattern,
+    pattern_false: TerminalPattern,
+    memo: dict,
+) -> list:
+    """A pair's scoped delta: both pattern memberships and output presences.
+
+    ``memo`` keeps the formulas across pairs: a sweep revisits every
+    pattern many times.
+    """
+    _c0, c1, c2, _x1, _x2 = variables
+    for config, pattern, output in ((c1, pattern_true, 1), (c2, pattern_false, 0)):
+        if (output, pattern) not in memo:
+            memo[(output, pattern)] = builder.pattern(config, pattern)
+        if output not in memo:
+            memo[output] = builder.has_output(config, output)
+    return [memo[(1, pattern_true)], memo[(0, pattern_false)], memo[1], memo[0]]
 
 
 def _check_with_patterns(
@@ -298,7 +324,6 @@ def _check_with_patterns(
     max_refinements: int,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> StrongConsensusResult:
     if context is None:
         context = AnalysisContext(protocol)
@@ -306,58 +331,18 @@ def _check_with_patterns(
     refinements: list[RefinementStep] = []
     simplifier = SimplifyStats()
     statistics = {"iterations": 0, "traps": 0, "siphons": 0, "pattern_pairs": 0, "solver_instances": 1}
-    use_incremental = resolve_incremental(incremental)
-    statistics["incremental"] = use_incremental
 
-    # One persistent solver for all pattern pairs.  The pair-independent
-    # constraints (initial configuration, flow non-negativity) are asserted
-    # once; the per-pair constraints live in a push/pop scope.  Learned
-    # lemmas — blocking clauses and memoized theory checks over the shared
-    # atoms — survive across pairs, so later pairs start warm.
+    # One persistent solver for all pattern pairs.  The base block and every
+    # cut discovered so far live at base level (in general form); a pair's
+    # scope carries only its pattern membership and output formulas,
+    # normalised online against the simplifier's index.  Learned lemmas —
+    # blocking clauses and memoized theory checks over the shared atoms —
+    # survive across pairs, so later pairs start warm.
     solver = create_solver(backend, theory=theory)
     variables = builder.consensus_variables()
-    c0, c1, c2, x1, x2 = variables
-
-    scoped: ScopedSimplifier | None = None
-    pattern_memo: dict[tuple[int, TerminalPattern], object] = {}
-    output_memo = {1: builder.has_output(c1, 1), 0: builder.has_output(c2, 0)}
-    if use_incremental:
-        # Incremental path: the base block and every cut discovered so far
-        # live at base level (in general form); a pair's scope carries only
-        # its pattern membership and output formulas.  The ScopedSimplifier
-        # mirrors the solver's scope stack and dedups/subsumes deltas online
-        # instead of re-simplifying the full pair system per pair.
-        scoped = ScopedSimplifier(
-            builder.consensus_base_system(variables), tighten_bounds=False, stats=simplifier
-        )
-        scoped.system.assert_into(solver)
-    else:
-        _assert_consensus_base(builder, solver, variables, simplifier)
-
-    def promote_cuts(new_steps: list[RefinementStep]) -> None:
-        """Assert a pair's newly discovered cuts once, at base level.
-
-        ``find_refinement`` can never rediscover a cut whose general form is
-        already active (the model would have to violate it), so promotion
-        introduces no duplicates across pairs — but the index still guards
-        against textual repeats from symmetric pairs.
-        """
-        for step in new_steps:
-            for cut in _general_consensus_cuts(builder, variables, step):
-                for formula in scoped.add_delta(cut):
-                    solver.add(formula)
-            bump("cuts_promoted_to_base")
-
-    def pair_delta(pattern_true: TerminalPattern, pattern_false: TerminalPattern) -> list:
-        true_member = pattern_memo.get((1, pattern_true))
-        if true_member is None:
-            true_member = builder.pattern(c1, pattern_true)
-            pattern_memo[(1, pattern_true)] = true_member
-        false_member = pattern_memo.get((0, pattern_false))
-        if false_member is None:
-            false_member = builder.pattern(c2, pattern_false)
-            pattern_memo[(0, pattern_false)] = false_member
-        return [true_member, false_member, output_memo[1], output_memo[0]]
+    c0, c1, c2, _x1, _x2 = variables
+    scoped = _consensus_solver(builder, solver, variables, stats=simplifier)
+    delta_memo: dict = {}
 
     def side_feasible(flow_config, pattern, output) -> bool:
         """Cheap theory-only pre-check of one side of a pattern pair.
@@ -379,6 +364,12 @@ def _check_with_patterns(
         )
         return result.status is not SolverStatus.UNSAT
 
+    def finish(result: StrongConsensusResult) -> StrongConsensusResult:
+        statistics["solver"] = dict(solver.statistics)
+        statistics["simplifier"] = simplifier.to_dict()
+        statistics["scoped_simplifier"] = scoped.savings_summary()
+        return result
+
     for pattern_true in true_patterns:
         true_side_ok = side_feasible(c1, pattern_true, 1)
         for pattern_false in false_patterns:
@@ -390,53 +381,37 @@ def _check_with_patterns(
                 statistics["pruned_pairs"] = statistics.get("pruned_pairs", 0) + 1
                 continue
             pair_start = len(refinements)
-            solver.push()
-            if scoped is not None:
-                scoped.push()
-            try:
+            with scoped.scope():
                 outcome = _solve_pattern_pair(
                     protocol,
                     builder,
-                    solver,
-                    (c0, c1, c2, x1, x2),
+                    scoped,
+                    variables,
                     pattern_true,
                     pattern_false,
                     max_refinements,
                     refinements,
                     statistics,
                     context=context,
-                    simplifier=simplifier,
-                    scoped=scoped,
-                    delta_formulas=pair_delta(pattern_true, pattern_false) if scoped else None,
+                    delta_memo=delta_memo,
                 )
-            finally:
-                solver.pop()
-                if scoped is not None:
-                    scoped.pop()
-            if scoped is not None:
-                promote_cuts(refinements[pair_start:])
+            _promote_cuts(scoped, builder, variables, refinements[pair_start:])
             if outcome is not None:
-                statistics["solver"] = dict(solver.statistics)
-                statistics["simplifier"] = simplifier.to_dict()
-                if scoped is not None:
-                    statistics["scoped_simplifier"] = scoped.savings_summary()
-                return StrongConsensusResult(
-                    holds=False,
-                    counterexample=outcome,
-                    refinements=refinements,
-                    statistics=statistics,
+                return finish(
+                    StrongConsensusResult(
+                        holds=False,
+                        counterexample=outcome,
+                        refinements=refinements,
+                        statistics=statistics,
+                    )
                 )
-    statistics["solver"] = dict(solver.statistics)
-    statistics["simplifier"] = simplifier.to_dict()
-    if scoped is not None:
-        statistics["scoped_simplifier"] = scoped.savings_summary()
-    return StrongConsensusResult(holds=True, refinements=refinements, statistics=statistics)
+    return finish(StrongConsensusResult(holds=True, refinements=refinements, statistics=statistics))
 
 
 def _solve_pattern_pair(
     protocol: PopulationProtocol,
     builder: ConstraintBuilder,
-    solver,
+    scoped: ScopedSolver,
     variables: tuple,
     pattern_true: TerminalPattern,
     pattern_false: TerminalPattern,
@@ -444,37 +419,24 @@ def _solve_pattern_pair(
     refinements: list[RefinementStep],
     statistics: dict,
     context: AnalysisContext | None = None,
-    simplifier: SimplifyStats | None = None,
-    scoped: ScopedSimplifier | None = None,
-    delta_formulas: list | None = None,
+    delta_memo: dict | None = None,
 ) -> StrongConsensusCounterexample | None:
     """Run the refinement loop for one pattern pair inside an open scope.
 
-    Non-incremental (``scoped is None``): the per-pair block — pattern
-    memberships, output presence and the trap/siphon constraints discovered
-    while solving earlier pairs (they are valid refinements of Definition 12
-    for any pair and often cut the counterexample space immediately) — is
-    built as one IR system and simplified (without bound tightening: the
-    scope is retractable, bounds are not) before being asserted.
-
-    Incremental (``scoped`` given): earlier pairs' cuts already live at base
-    level in general form, so the scope's delta is just ``delta_formulas``
-    (pattern memberships + output presence), normalised against the
-    persistent index; cuts found *during* this pair are asserted in general
-    form inside the scope (the caller re-promotes them to base after pop).
+    Earlier pairs' cuts already live at base level in general form, so the
+    scope's delta is just the pair's pattern memberships and output
+    presence (see :func:`_pair_delta`), normalised against the persistent
+    index; cuts found *during* this pair are asserted inside the scope (the
+    caller re-promotes them to base after pop).
     """
     c0, c1, c2, x1, x2 = variables
     supports = context.transition_supports if context is not None else None
-    if scoped is not None:
-        for formula in scoped.add_delta(*delta_formulas):
-            solver.add(formula)
-    else:
-        system = builder.consensus_pair_system(variables, pattern_true, pattern_false, refinements)
-        simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
+    memo = delta_memo if delta_memo is not None else {}
+    scoped.add(*_pair_delta(builder, variables, pattern_true, pattern_false, memo))
 
     for _ in range(max_refinements):
         statistics["iterations"] += 1
-        result = solver.check()
+        result = scoped.solver.check()
         if result.status is SolverStatus.UNSAT:
             return None
         if result.status is SolverStatus.UNKNOWN:
@@ -502,31 +464,21 @@ def _solve_pattern_pair(
         refinements.append(step)
         statistics["traps" if step.kind == "trap" else "siphons"] += 1
         monitor.emit_refinement_found(step.kind, step.states, step.iteration)
-        # Incremental: cuts are asserted in the form that is cheapest for
-        # the solver.  When the trap misses the pair's allowed support the
-        # specialized constraint collapses to a two-literal clause (FALSE
-        # consequent) — pruning the general form only recovers through
-        # repeated theory checks.  Otherwise the general form is used: it
-        # is textually identical across pairs and iterations, so the
-        # solver's memoized theory checks stay warm, and it matches the cut
-        # later promoted to base level.
-        if scoped is not None:
-            for target, flow, pattern in ((c1, x1, pattern_true), (c2, x2, pattern_false)):
-                if step.kind == "trap" and not (set(step.states) & set(pattern.allowed)):
-                    cut = builder.refinement_constraint(
-                        step, c0, target, flow, target_support=pattern.allowed
-                    )
-                else:
-                    cut = builder.refinement_constraint(step, c0, target, flow)
-                for formula in scoped.add_delta(cut):
-                    solver.add(formula)
-        else:
-            solver.add(
-                builder.refinement_constraint(step, c0, c1, x1, target_support=pattern_true.allowed)
-            )
-            solver.add(
-                builder.refinement_constraint(step, c0, c2, x2, target_support=pattern_false.allowed)
-            )
+        # Cuts are asserted in the form that is cheapest for the solver.
+        # When the trap misses the pair's allowed support the specialized
+        # constraint collapses to a two-literal clause (FALSE consequent) —
+        # pruning the general form only recovers through repeated theory
+        # checks.  Otherwise the general form is used: it is textually
+        # identical across pairs and iterations, so the solver's memoized
+        # theory checks stay warm, and it matches the cut later promoted to
+        # base level.
+        for target, flow, pattern in ((c1, x1, pattern_true), (c2, x2, pattern_false)):
+            if step.kind == "trap" and not (set(step.states) & set(pattern.allowed)):
+                scoped.add(
+                    builder.refinement_constraint(step, c0, target, flow, target_support=pattern.allowed)
+                )
+            else:
+                scoped.add(builder.refinement_constraint(step, c0, target, flow))
     raise RuntimeError(
         f"StrongConsensus refinement did not converge within {max_refinements} iterations"
     )
@@ -602,7 +554,6 @@ def solve_pattern_pair_subproblem(
     protocol_key: str | None = None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> PairOutcome:
     """Solve one pattern pair in isolation (the worker-process entry point).
 
@@ -612,10 +563,10 @@ def solve_pattern_pair_subproblem(
     what makes parallel runs reproducible: the coordinator's wave plan fixes
     every seed, so scheduling timing cannot leak into the results.
 
-    In incremental mode the seeded cuts are asserted once at base level in
-    general form (see :func:`_general_consensus_cuts`) and the pair's
-    pattern/output block lives in a scoped delta — the same shape as the
-    serial persistent-solver path, so verdicts are identical.
+    The seeded cuts are asserted once at base level in general form (see
+    :func:`_promote_cuts`) and the pair's pattern/output block lives in a
+    scoped delta — the same shape as the serial persistent-solver path, so
+    verdicts are identical.
     """
     if context is None:
         context = AnalysisContext(protocol)
@@ -624,7 +575,6 @@ def solve_pattern_pair_subproblem(
     variables = builder.consensus_variables()
     c0, c1, c2, _x1, _x2 = variables
     statistics = {"iterations": 0, "traps": 0, "siphons": 0}
-    use_incremental = resolve_incremental(incremental)
 
     backend_name = resolve_backend_name(backend)
     true_key = (protocol_key, backend_name, theory, "true", pattern_true) if protocol_key else None
@@ -636,30 +586,12 @@ def solve_pattern_pair_subproblem(
 
     refinements = list(seed_refinements)
     seeded = len(refinements)
-    scoped: ScopedSimplifier | None = None
-    delta_formulas: list | None = None
-    if use_incremental:
-        scoped = ScopedSimplifier(builder.consensus_base_system(variables), tighten_bounds=False)
-        scoped.system.assert_into(solver)
-        for step in refinements:
-            for cut in _general_consensus_cuts(builder, variables, step):
-                for formula in scoped.add_delta(cut):
-                    solver.add(formula)
-        solver.push()
-        scoped.push()
-        delta_formulas = [
-            builder.pattern(c1, pattern_true),
-            builder.pattern(c2, pattern_false),
-            builder.has_output(c1, 1),
-            builder.has_output(c2, 0),
-        ]
-    else:
-        _assert_consensus_base(builder, solver, variables)
-    try:
+    scoped = _consensus_solver(builder, solver, variables, seeds=refinements)
+    with scoped.scope():
         counterexample = _solve_pattern_pair(
             protocol,
             builder,
-            solver,
+            scoped,
             variables,
             pattern_true,
             pattern_false,
@@ -667,14 +599,8 @@ def solve_pattern_pair_subproblem(
             refinements,
             statistics,
             context=context,
-            scoped=scoped,
-            delta_formulas=delta_formulas,
         )
-    finally:
-        if scoped is not None:
-            solver.pop()
-            scoped.pop()
-            statistics["scoped_simplifier"] = scoped.savings_summary()
+    statistics["scoped_simplifier"] = scoped.savings_summary()
     statistics["solver"] = dict(solver.statistics)
     new_refinements = refinements[seeded:]
     if counterexample is not None:
@@ -698,7 +624,6 @@ def consensus_pair_subproblems(
     protocol_key: str,
     backend: str | None = None,
     context_data: dict | None = None,
-    incremental: bool | None = None,
 ) -> list:
     """Package a slice of the pattern-pair enumeration as engine subproblems."""
     from repro.engine.subproblem import Subproblem
@@ -717,7 +642,6 @@ def consensus_pair_subproblems(
                 "max_refinements": max_refinements,
                 "backend": backend,
                 "context": context_data or {},
-                "incremental": incremental,
             },
         )
         for offset, (pattern_true, pattern_false) in enumerate(pairs)
@@ -733,7 +657,6 @@ def _check_with_patterns_engine(
     engine,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> StrongConsensusResult:
     """Fan the pattern pairs over the engine's worker pool, wave by wave.
 
@@ -785,15 +708,13 @@ def _check_with_patterns_engine(
             protocol_key,
             backend,
             context_data,
-            incremental,
         ),
         statistics,
     )
 
     if sat_seen:
         serial = _check_with_patterns(
-            protocol, true_patterns, false_patterns, theory, max_refinements, backend, context,
-            incremental=incremental,
+            protocol, true_patterns, false_patterns, theory, max_refinements, backend, context
         )
         serial.statistics["parallel"] = {
             "jobs": engine.jobs,

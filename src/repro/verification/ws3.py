@@ -81,7 +81,6 @@ def verify_ws3_impl(
     engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> WS3Result:
     """Decide membership of a protocol in WS³ (implementation).
 
@@ -136,7 +135,6 @@ def verify_ws3_impl(
             engine=engine,
             backend=backend,
             context=context,
-            incremental=incremental,
         )
 
     def run_layered() -> LayeredTerminationResult:
@@ -149,7 +147,6 @@ def verify_ws3_impl(
             engine=engine,
             backend=backend,
             context=context,
-            incremental=incremental,
         )
 
     try:

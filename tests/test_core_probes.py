@@ -26,9 +26,9 @@ from repro.smtlite.theory import TheoryConstraint
 #: generous limit lets every probe finish; ``None`` is unlimited.
 TIME_LIMITS = (None, 0.0, 30.0)
 
-#: The pinned trajectory is the DPLL(T) backend's on the scipy theory with the
-#: incremental IR; other backends and rebuild-per-scope refine differently.
-SMTLITE = VerificationOptions(backend="smtlite", theory="scipy", incremental=True)
+#: The pinned trajectory is the DPLL(T) backend's on the scipy theory; other
+#: backends refine differently.
+SMTLITE = VerificationOptions(backend="smtlite", theory="scipy")
 
 
 def _milp_proves_infeasible(matrix, rhs, lower, upper, rows, time_limit) -> bool:

@@ -29,7 +29,6 @@ from repro.constraints.incremental import (
     ScopedSimplifier,
     SimplifyIndex,
     incremental_statistics,
-    resolve_incremental,
 )
 from repro.constraints.ir import ConstraintSystem
 from repro.constraints.simplify import simplify_system
@@ -347,19 +346,8 @@ def test_direct_ilp_cores_survive_pops():
 
 
 # ----------------------------------------------------------------------
-# The escape hatch
+# Process-wide counters
 # ----------------------------------------------------------------------
-
-
-def test_resolve_incremental_override_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-    assert resolve_incremental(None) is True
-    assert resolve_incremental(False) is False
-    monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-    assert resolve_incremental(None) is False
-    assert resolve_incremental(True) is True
-    monkeypatch.setenv("REPRO_INCREMENTAL", "off")
-    assert resolve_incremental(None) is False
 
 
 def test_incremental_statistics_shape():
@@ -373,6 +361,5 @@ def test_incremental_statistics_shape():
         "cores_learned",
         "cores_retained_across_pops",
         "core_retention_rate",
-        "enabled_default",
     ):
         assert key in stats

@@ -10,6 +10,10 @@ protocols rather than on the hand-written families:
 * potential reachability over-approximates real reachability;
 * every configuration reached by simulation of a silent protocol and
   declared terminal really is terminal.
+
+A second suite checks the WS³ verdicts themselves against independent
+oracles: the explicit-state baseline of prior work for every "yes", and the
+concrete Definition-12 checker for every StrongConsensus counterexample.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Verifier
+from repro.api.report import Verdict
 from repro.datatypes.multiset import Multiset
 from repro.protocols.protocol import PopulationProtocol, Transition
 from repro.protocols.semantics import enabled_transitions, is_terminal
 from repro.protocols.simulation import Simulator
+from repro.verification.explicit import verify_inputs_up_to
 from repro.verification.flow import (
     PotentialReachabilityWitness,
     check_potential_reachability,
@@ -127,3 +134,36 @@ class TestRandomProtocolInvariants:
         if result.converged:
             assert is_terminal(protocol, result.final)
         assert result.final.size() == configuration.size()
+
+
+class TestWS3VerdictsAgainstOracles:
+    """Every WS³ verdict on a random protocol must survive a check that does
+    not use the solver stack."""
+
+    @given(random_protocols())
+    @settings(max_examples=30, deadline=None)
+    def test_ws3_verdicts_hold_up(self, data):
+        protocol, _ = data
+        with Verifier() as verifier:
+            result = verifier.check(protocol, properties=["ws3"]).result_for("ws3")
+        if result.holds:
+            # WS³ ⊆ WS: every input up to the bound stabilises to one output.
+            sweep = verify_inputs_up_to(protocol, max_size=4)
+            assert sweep.all_well_specified, [
+                (r.input_population, r.reason) for r in sweep.results if not r.well_specified
+            ]
+        consensus = result.part("strong_consensus")
+        if consensus is None or consensus.verdict is not Verdict.FAILS:
+            return
+        counterexample = consensus.counterexample
+        for terminal, flow, output in (
+            (counterexample.terminal_true, counterexample.flow_true, 1),
+            (counterexample.terminal_false, counterexample.flow_false, 0),
+        ):
+            witness = PotentialReachabilityWitness(
+                source=counterexample.initial, target=terminal, flow=dict(flow)
+            )
+            ok, reason = check_potential_reachability(protocol, witness)
+            assert ok, reason
+            assert is_terminal(protocol, terminal)
+            assert any(protocol.output(state) == output for state in terminal.support())
